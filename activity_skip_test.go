@@ -172,11 +172,11 @@ func diffActivity(t *testing.T, model *Model, prec Precision, cycles, batch int,
 }
 
 // TestActivitySkipBitIdenticalOnBenchmarks is the battery core: every
-// Table I circuit, at two LUT sizes, on all three backends, skip on vs
-// off under hold-heavy stimuli. Batch 67 on the packed backend
-// exercises the masked partial tail word in the root diff. Across the
-// whole matrix the skip path must fire at least once — a battery that
-// never skips proves nothing.
+// Table I circuit, at two LUT sizes and in both network forms, on all
+// three backends, skip on vs off under hold-heavy stimuli. Batch 67 on
+// the packed backend exercises the masked partial tail word in the root
+// diff. Across the whole matrix the skip path must fire at least once —
+// a battery that never skips proves nothing.
 func TestActivitySkipBitIdenticalOnBenchmarks(t *testing.T) {
 	ls := []int{4, 7}
 	cycles := 48
@@ -187,10 +187,7 @@ func TestActivitySkipBitIdenticalOnBenchmarks(t *testing.T) {
 	var totalSkipped int64
 	for _, c := range Benchmarks() {
 		for _, l := range ls {
-			model, err := CompileBenchmark(c.Name, Options{L: l})
-			if err != nil {
-				t.Fatal(err)
-			}
+			models := compileForms(t, c.Name, l)
 			for _, prec := range backendPrecisions {
 				cyc, batch := cycles, 67
 				if prec != simengine.BitPacked {
@@ -198,8 +195,10 @@ func TestActivitySkipBitIdenticalOnBenchmarks(t *testing.T) {
 					cyc, batch = cycles/2, 4
 				}
 				t.Run(fmt.Sprintf("%s/L%d/%v", c.Name, l, prec), func(t *testing.T) {
-					_, skipped := diffActivity(t, model, prec, cyc, batch, int64(l)*1000+7)
-					totalSkipped += skipped
+					eachForm(t, models, func(t *testing.T, model *Model) {
+						_, skipped := diffActivity(t, model, prec, cyc, batch, int64(l)*1000+7)
+						totalSkipped += skipped
+					})
 				})
 			}
 		}
@@ -225,12 +224,10 @@ func TestActivitySkipLongRandomStimulus(t *testing.T) {
 	var totalSkipped int64
 	for _, name := range []string{"UART", "SPI", "DMA"} {
 		t.Run(name, func(t *testing.T) {
-			model, err := CompileBenchmark(name, Options{L: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, skipped := diffActivity(t, model, simengine.BitPacked, cycles, 64, 20260808)
-			totalSkipped += skipped
+			eachForm(t, compileForms(t, name, 4), func(t *testing.T, model *Model) {
+				_, skipped := diffActivity(t, model, simengine.BitPacked, cycles, 64, 20260808)
+				totalSkipped += skipped
+			})
 		})
 	}
 	if totalSkipped == 0 {
@@ -251,10 +248,7 @@ func TestActivitySkipOnSmokeTestbenches(t *testing.T) {
 	}
 	const batch = 2
 	for tb, circuit := range tbs {
-		model, err := CompileBenchmark(circuit, Options{L: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		models := compileForms(t, circuit, 4)
 		src, err := os.ReadFile(filepath.Join("testbenches", tb))
 		if err != nil {
 			t.Fatal(err)
@@ -265,57 +259,62 @@ func TestActivitySkipOnSmokeTestbenches(t *testing.T) {
 		}
 		for _, prec := range backendPrecisions {
 			t.Run(fmt.Sprintf("%s/%v", tb, prec), func(t *testing.T) {
-				// record replays the script and snapshots every output
-				// port (both lanes) at every traced sample.
-				record := func(activity bool) ([]bool, testbench.Result, int64) {
-					eng, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, Activity: activity})
-					if err != nil {
-						t.Fatal(err)
+				eachForm(t, models, func(t *testing.T, model *Model) {
+					refRec, refRes, _ := recordSmoke(t, model, script, prec, batch, false)
+					actRec, actRes, skipped := recordSmoke(t, model, script, prec, batch, true)
+					if refRes != actRes {
+						t.Fatalf("run results differ: baseline %+v, activity %+v", refRes, actRes)
 					}
-					defer eng.Close()
-					var rec []bool
-					res, err := script.RunOpts(eng, testbench.RunOptions{
-						Trace: func(int) error {
-							for _, out := range model.Outputs {
-								for lane := 0; lane < batch; lane++ {
-									bits, err := eng.GetOutputBits(out.Name, lane)
-									if err != nil {
-										return err
-									}
-									rec = append(rec, bits...)
-								}
-							}
-							return nil
-						},
-					})
-					if err != nil {
-						t.Fatalf("activity=%v: %v", activity, err)
+					if refRes.Checks == 0 {
+						t.Fatal("testbench made no checks")
 					}
-					_, skipped := eng.ActivityCounters()
-					return rec, res, skipped
-				}
-				refRec, refRes, _ := record(false)
-				actRec, actRes, skipped := record(true)
-				if refRes != actRes {
-					t.Fatalf("run results differ: baseline %+v, activity %+v", refRes, actRes)
-				}
-				if refRes.Checks == 0 {
-					t.Fatal("testbench made no checks")
-				}
-				if len(refRec) != len(actRec) {
-					t.Fatalf("recorded %d baseline bits, %d activity bits", len(refRec), len(actRec))
-				}
-				for i := range refRec {
-					if refRec[i] != actRec[i] {
-						t.Fatalf("recorded output bit %d differs between baseline and activity run", i)
+					if len(refRec) != len(actRec) {
+						t.Fatalf("recorded %d baseline bits, %d activity bits", len(refRec), len(actRec))
 					}
-				}
-				if tb == "uart_smoke.tb" && prec == simengine.BitPacked && skipped == 0 {
-					t.Error("UART smoke run never skipped a cluster")
-				}
+					for i := range refRec {
+						if refRec[i] != actRec[i] {
+							t.Fatalf("recorded output bit %d differs between baseline and activity run", i)
+						}
+					}
+					if tb == "uart_smoke.tb" && prec == simengine.BitPacked && skipped == 0 {
+						t.Error("UART smoke run never skipped a cluster")
+					}
+				})
 			})
 		}
 	}
+}
+
+// recordSmoke replays a testbench script on a fresh engine and
+// snapshots every output port (all lanes) at every traced sample. It
+// returns the recording, the run result and the skipped-cluster count.
+func recordSmoke(t *testing.T, model *Model, script *testbench.Script, prec simengine.Precision, batch int, activity bool) ([]bool, testbench.Result, int64) {
+	t.Helper()
+	eng, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, Activity: activity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var rec []bool
+	res, err := script.RunOpts(eng, testbench.RunOptions{
+		Trace: func(int) error {
+			for _, out := range model.Outputs {
+				for lane := 0; lane < batch; lane++ {
+					bits, err := eng.GetOutputBits(out.Name, lane)
+					if err != nil {
+						return err
+					}
+					rec = append(rec, bits...)
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("activity=%v: %v", activity, err)
+	}
+	_, skipped := eng.ActivityCounters()
+	return rec, res, skipped
 }
 
 // TestProbeMatchesBackendSkipDecisions pins the analyze.Probe to the
@@ -325,44 +324,43 @@ func TestActivitySkipOnSmokeTestbenches(t *testing.T) {
 // pass, on every backend, every cycle. The probe is the static
 // analyzer's skip oracle; this is what makes its predictions binding.
 func TestProbeMatchesBackendSkipDecisions(t *testing.T) {
-	model, err := CompileBenchmark("UART", Options{L: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := compileForms(t, "UART", 4)
 	for _, prec := range backendPrecisions {
 		t.Run(prec.String(), func(t *testing.T) {
-			eng, err := NewEngine(model, EngineOptions{Batch: 1, Precision: prec, Activity: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			pr, err := analyze.NewProbe(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clusters := len(eng.Plan().Clusters.Clusters)
-			rng := rand.New(rand.NewSource(99))
-			held := make(map[string]uint64)
-			for cyc := 0; cyc < 40; cyc++ {
-				for _, in := range model.Inputs {
-					if _, ok := held[in.Name]; !ok || rng.Intn(3) == 0 {
-						mask := uint64(1)<<uint(len(in.Units)) - 1
-						held[in.Name] = rng.Uint64() & mask
-					}
-					if err := eng.SetInputUniform(in.Name, held[in.Name]); err != nil {
-						t.Fatal(err)
-					}
+			eachForm(t, models, func(t *testing.T, model *Model) {
+				eng, err := NewEngine(model, EngineOptions{Batch: 1, Precision: prec, Activity: true})
+				if err != nil {
+					t.Fatal(err)
 				}
-				pr.Sample()
-				dirtyBefore, _ := eng.ActivityCounters()
-				eng.Forward()
-				dirtyAfter, _ := eng.ActivityCounters()
-				if got, want := int(dirtyAfter-dirtyBefore), pr.LastDirtyClusters(); got != want {
-					t.Fatalf("cycle %d: backend dispatched %d clusters, probe predicted %d (of %d)",
-						cyc, got, want, clusters)
+				defer eng.Close()
+				pr, err := analyze.NewProbe(eng)
+				if err != nil {
+					t.Fatal(err)
 				}
-				eng.LatchFeedback()
-			}
+				clusters := len(eng.Plan().Clusters.Clusters)
+				rng := rand.New(rand.NewSource(99))
+				held := make(map[string]uint64)
+				for cyc := 0; cyc < 40; cyc++ {
+					for _, in := range model.Inputs {
+						if _, ok := held[in.Name]; !ok || rng.Intn(3) == 0 {
+							mask := uint64(1)<<uint(len(in.Units)) - 1
+							held[in.Name] = rng.Uint64() & mask
+						}
+						if err := eng.SetInputUniform(in.Name, held[in.Name]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					pr.Sample()
+					dirtyBefore, _ := eng.ActivityCounters()
+					eng.Forward()
+					dirtyAfter, _ := eng.ActivityCounters()
+					if got, want := int(dirtyAfter-dirtyBefore), pr.LastDirtyClusters(); got != want {
+						t.Fatalf("cycle %d: backend dispatched %d clusters, probe predicted %d (of %d)",
+							cyc, got, want, clusters)
+					}
+					eng.LatchFeedback()
+				}
+			})
 		})
 	}
 }
@@ -373,16 +371,13 @@ func TestProbeMatchesBackendSkipDecisions(t *testing.T) {
 // must keep tracking a baseline fed the identical sequence — and a
 // Reset engine must be indistinguishable from a freshly built one.
 func TestActivityStateMutationInvalidation(t *testing.T) {
-	model, err := CompileBenchmark("SPI", Options{L: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := compileForms(t, "SPI", 4)
 	const batch = 3
 	mutations := []struct {
 		name string
-		do   func(t *testing.T, eng *Engine)
+		do   func(t *testing.T, model *Model, eng *Engine)
 	}{
-		{"SetInputBits", func(t *testing.T, eng *Engine) {
+		{"SetInputBits", func(t *testing.T, model *Model, eng *Engine) {
 			in := model.Inputs[0]
 			bits := make([]bool, len(in.Units))
 			for i := range bits {
@@ -394,7 +389,7 @@ func TestActivityStateMutationInvalidation(t *testing.T) {
 				}
 			}
 		}},
-		{"PokeUnit", func(t *testing.T, eng *Engine) {
+		{"PokeUnit", func(t *testing.T, model *Model, eng *Engine) {
 			// Flip every FF's latched Q bit on one lane: state the root
 			// diff alone would attribute to a toggle, but the engine must
 			// also survive the generation bump the poke performs.
@@ -402,54 +397,56 @@ func TestActivityStateMutationInvalidation(t *testing.T) {
 				eng.PokeUnit(fb.ToPI, 1, !eng.PeekUnit(fb.ToPI, 1))
 			}
 		}},
-		{"Reset", func(t *testing.T, eng *Engine) { eng.Reset() }},
+		{"Reset", func(t *testing.T, _ *Model, eng *Engine) { eng.Reset() }},
 	}
 	for _, prec := range backendPrecisions {
 		for _, mut := range mutations {
 			t.Run(fmt.Sprintf("%v/%s", prec, mut.name), func(t *testing.T) {
-				// KeepAllActivations pins the baseline's arena the same way
-				// Activity pins the skip engine's, so pokes land in
-				// identically owned slots.
-				base, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, KeepAllActivations: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer base.Close()
-				act, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, Activity: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer act.Close()
-
-				// Warm up with holds so the activity engine has settled
-				// into skipping before the mutation hits.
-				st := newHoldStimuli(7, batch)
-				for cyc := 0; cyc < 6; cyc++ {
-					st.drive(t, model, base, act)
-					base.Step()
-					act.Step()
-				}
-				mut.do(t, base)
-				mut.do(t, act)
-				for cyc := 0; cyc < 4; cyc++ {
-					base.Forward()
-					act.Forward()
-					compareOutputs(t, model, cyc, base, act, batch)
-					base.LatchFeedback()
-					act.LatchFeedback()
-				}
-				if mut.name == "Reset" {
-					// Reset + step must equal a fresh engine + step.
-					fresh, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, Activity: true})
+				eachForm(t, models, func(t *testing.T, model *Model) {
+					// KeepAllActivations pins the baseline's arena the same way
+					// Activity pins the skip engine's, so pokes land in
+					// identically owned slots.
+					base, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, KeepAllActivations: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer fresh.Close()
-					act.Reset()
-					act.Forward()
-					fresh.Forward()
-					compareOutputs(t, model, 0, fresh, act, batch)
-				}
+					defer base.Close()
+					act, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, Activity: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer act.Close()
+
+					// Warm up with holds so the activity engine has settled
+					// into skipping before the mutation hits.
+					st := newHoldStimuli(7, batch)
+					for cyc := 0; cyc < 6; cyc++ {
+						st.drive(t, model, base, act)
+						base.Step()
+						act.Step()
+					}
+					mut.do(t, model, base)
+					mut.do(t, model, act)
+					for cyc := 0; cyc < 4; cyc++ {
+						base.Forward()
+						act.Forward()
+						compareOutputs(t, model, cyc, base, act, batch)
+						base.LatchFeedback()
+						act.LatchFeedback()
+					}
+					if mut.name == "Reset" {
+						// Reset + step must equal a fresh engine + step.
+						fresh, err := NewEngine(model, EngineOptions{Batch: batch, Precision: prec, Activity: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer fresh.Close()
+						act.Reset()
+						act.Forward()
+						fresh.Forward()
+						compareOutputs(t, model, 0, fresh, act, batch)
+					}
+				})
 			})
 		}
 	}

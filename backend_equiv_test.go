@@ -24,6 +24,38 @@ var backendPrecisions = []simengine.Precision{
 	simengine.Float32, simengine.Int32, simengine.BitPacked,
 }
 
+// networkForms are the two network forms every benchmark-circuit suite
+// runs: the §III-C hidden/linear alternation (the facade default) and
+// the paper's §III-D merged form.
+var networkForms = []struct {
+	name  string
+	merge bool
+}{{"unmerged", false}, {"merged", true}}
+
+// compileForms compiles a built-in benchmark circuit once per network
+// form, in networkForms order.
+func compileForms(t *testing.T, name string, l int) []*Model {
+	t.Helper()
+	models := make([]*Model, len(networkForms))
+	for i, f := range networkForms {
+		m, err := CompileBenchmark(name, Options{L: l, Merge: f.merge})
+		if err != nil {
+			t.Fatalf("%s L=%d %s: %v", name, l, f.name, err)
+		}
+		models[i] = m
+	}
+	return models
+}
+
+// eachForm runs fn as one subtest per network form, on that form's
+// model from compileForms.
+func eachForm(t *testing.T, models []*Model, fn func(t *testing.T, model *Model)) {
+	t.Helper()
+	for i, f := range networkForms {
+		t.Run(f.name, func(t *testing.T) { fn(t, models[i]) })
+	}
+}
+
 // diffBackends drives identical random stimuli through one engine per
 // substrate for the given number of cycles and fails on the first
 // output bit where any backend disagrees with the float32 reference.
@@ -122,8 +154,9 @@ func diffBackends(t *testing.T, model *Model, cycles, batch int, seed int64) {
 }
 
 // TestBackendsBitIdenticalOnBenchmarks runs the differential check on
-// every Table I circuit at two LUT sizes. Batch 67 exercises partial
-// packed words (one full uint64 plus a 3-lane tail).
+// every Table I circuit at two LUT sizes, in both network forms. Batch
+// 67 exercises partial packed words (one full uint64 plus a 3-lane
+// tail).
 func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 	ls := []int{4, 7}
 	if testing.Short() {
@@ -132,11 +165,9 @@ func TestBackendsBitIdenticalOnBenchmarks(t *testing.T) {
 	for _, c := range Benchmarks() {
 		for _, l := range ls {
 			t.Run(fmt.Sprintf("%s/L%d", c.Name, l), func(t *testing.T) {
-				model, err := CompileBenchmark(c.Name, Options{L: l})
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffBackends(t, model, 16, 67, int64(l)*1000+7)
+				eachForm(t, compileForms(t, c.Name, l), func(t *testing.T, model *Model) {
+					diffBackends(t, model, 16, 67, int64(l)*1000+7)
+				})
 			})
 		}
 	}

@@ -390,31 +390,39 @@ func BenchmarkStimulusParallelism(b *testing.B) {
 	}
 }
 
-// TestPublicAPI exercises the facade end to end.
+// TestPublicAPI exercises the facade end to end, in both network forms.
 func TestPublicAPI(t *testing.T) {
-	model, err := CompileBenchmark("UART", Options{L: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(model, EngineOptions{Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetInputUniform("rst", 1)
-	eng.Step()
-	eng.SetInputUniform("rst", 0)
-	eng.Step()
-	eng.Forward()
-	if v, err := eng.GetOutput("txd"); err != nil || v[0] != 1 {
-		t.Fatalf("txd = %v (err %v), want idle high", v, err)
-	}
+	for _, f := range networkForms {
+		t.Run(f.name, func(t *testing.T) {
+			model, err := CompileBenchmark("UART", Options{L: 5, Merge: f.merge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine(model, EngineOptions{Batch: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetInputUniform("rst", 1)
+			eng.Step()
+			eng.SetInputUniform("rst", 0)
+			eng.Step()
+			eng.Forward()
+			if v, err := eng.GetOutput("txd"); err != nil || v[0] != 1 {
+				t.Fatalf("txd = %v (err %v), want idle high", v, err)
+			}
 
-	n, err := Verify("SPI", 4, 8, 4, 5)
-	if err != nil {
-		t.Fatal(err)
+			n, err := verify("SPI", Options{L: 4, Merge: f.merge}, 8, 4, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				t.Fatal("no comparisons")
+			}
+		})
 	}
-	if n == 0 {
-		t.Fatal("no comparisons")
+	// Verify compiles the default, unmerged form.
+	if n, err := Verify("SPI", 4, 8, 4, 5); err != nil || n == 0 {
+		t.Fatalf("Verify: %d comparisons, err %v", n, err)
 	}
 	if len(Benchmarks()) != 6 {
 		t.Fatalf("benchmarks = %d", len(Benchmarks()))

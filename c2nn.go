@@ -6,7 +6,7 @@
 // The pipeline (paper Fig. 1):
 //
 //	Verilog ─▶ netlist ─▶ AIG ─▶ K-LUT graph ─▶ multi-linear
-//	polynomials ─▶ merged threshold network ─▶ batched parallel engine
+//	polynomials ─▶ threshold network ─▶ batched parallel engine
 //
 // This package is the public facade over the implementation packages:
 //
@@ -115,8 +115,12 @@ type Options struct {
 	// L is the LUT size hyperparameter (default 7). Larger L gives
 	// shallower networks with exponentially more connections (§III-B1).
 	L int
-	// NoMerge disables the depth-halving layer merge of §III-D.
-	NoMerge bool
+	// Merge applies the depth-halving layer merge of §III-D, the paper's
+	// GPU-shaped form: every exact-linear layer is multiplied into the
+	// layer that reads it. The zero value keeps the §III-C hidden/linear
+	// alternation, which has far fewer connections and runs faster on
+	// the CPU backends (EXPERIMENTS.md, "Network forms").
+	Merge bool
 	// FlowMap selects the depth-optimal mapper instead of priority cuts.
 	FlowMap bool
 	// CoalesceWide, when > 0, merges chains of pure AND/OR LUTs into
@@ -139,7 +143,7 @@ func (o Options) lintOptions() irlint.Options {
 		L:            o.L,
 		FlowMap:      o.FlowMap,
 		CoalesceWide: o.CoalesceWide,
-		NoMerge:      o.NoMerge,
+		Merge:        o.Merge,
 	}
 }
 
@@ -219,7 +223,7 @@ func compileNetlist(nl *netlist.Netlist, opts Options) (*Model, error) {
 		wsp.SetInt("luts", int64(len(g.LUTs))).End()
 		m.Graph = g
 	}
-	return nn.Build(nl, m, nn.BuildOptions{Merge: !opts.NoMerge, L: opts.L, BuildTrace: opts.Trace})
+	return nn.Build(nl, m, nn.BuildOptions{Merge: opts.Merge, L: opts.L, BuildTrace: opts.Trace})
 }
 
 // NewEngine creates a batched simulation engine for a model.
@@ -235,6 +239,11 @@ func LoadModel(path string) (*Model, error) { return nn.LoadFile(path) }
 // (the paper's §IV-A correctness check). It returns the number of output
 // comparisons performed.
 func Verify(name string, l, cycles, batch int, seed int64) (int64, error) {
+	return verify(name, Options{L: l}, cycles, batch, seed)
+}
+
+// verify is Verify over an explicit compile configuration.
+func verify(name string, opts Options, cycles, batch int, seed int64) (int64, error) {
 	c, err := circuits.ByName(name)
 	if err != nil {
 		return 0, err
@@ -243,7 +252,7 @@ func Verify(name string, l, cycles, batch int, seed int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	model, err := compileNetlist(nl, Options{L: l})
+	model, err := compileNetlist(nl, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -286,7 +295,7 @@ func FaultCoverage(name string, l, cycles, batch int, seed int64) (*FaultReport,
 	if err != nil {
 		return nil, err
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: l})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: l})
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +356,7 @@ func ProveVerilog(sources map[string]string, copts Options, opts EquivOptions) (
 	if err != nil {
 		return nil, err
 	}
-	return equiv.ProveNetlist(nl, copts.L, copts.FlowMap, copts.CoalesceWide, !copts.NoMerge, opts)
+	return equiv.ProveNetlist(nl, copts.L, copts.FlowMap, copts.CoalesceWide, copts.Merge, opts)
 }
 
 // ProveBenchmark runs the formal equivalence checker over one of the

@@ -9,6 +9,7 @@
 //	bench -fig4
 //	bench -fig6
 //	bench -ablations
+//	bench -forms                       # unmerged vs merged network, L = 4,7
 //	bench -backends                    # float32 / int32 / bitpacked comparison
 //	bench -json -out BENCH_exec.json   # backend comparison as JSON (CI artifact)
 //	bench -telemetry                   # telemetry-layer overhead (on vs off)
@@ -34,6 +35,7 @@ func main() {
 		fig4      = flag.Bool("fig4", false, "regenerate Fig. 4 (polynomial generation time)")
 		fig6      = flag.Bool("fig6", false, "regenerate Fig. 6 (UART L sweep)")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablations")
+		forms     = flag.Bool("forms", false, "compare the unmerged and merged network forms (layers, connections, bit-packed cycle time at 1 worker) at L=4,7")
 		backends  = flag.Bool("backends", false, "compare float32/int32/bitpacked execution backends")
 		jsonOut   = flag.Bool("json", false, "run the backend comparison and emit JSON (implies -backends)")
 		outPath   = flag.String("out", "", "write the -json report to this file instead of stdout")
@@ -135,6 +137,22 @@ func main() {
 		}
 		fmt.Println("\n=== Ablations ===")
 		fmt.Print(bench.FormatAblations(rows))
+	}
+
+	if *forms || *all {
+		ran = true
+		var names []string
+		if *circuitsF != "" {
+			for _, s := range strings.Split(*circuitsF, ",") {
+				names = append(names, strings.TrimSpace(s))
+			}
+		}
+		rows, err := bench.RunForms(names, []int{4, 7}, *batch, time.Duration(*minMs)*time.Millisecond, progress)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println("\n=== Network forms (bit-packed, 1 worker) ===")
+		fmt.Print(bench.FormatForms(rows))
 	}
 
 	if *backends || *jsonOut || *all {

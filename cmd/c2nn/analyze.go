@@ -61,11 +61,11 @@ func runAnalyze(args []string) error {
 		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		topN       = fs.Int("top", 10, "rows of the hottest-layer cost table (0 disables)")
 		showClus   = fs.Bool("clusters", false, "print the per-cluster breakdown")
-		noMerge    = fs.Bool("no-merge", false, "disable layer merging")
+		merge      = fs.Bool("merge", false, "analyze the §III-D merged network instead of the default unmerged one")
 		useFlowmap = fs.Bool("flowmap", false, "use the FlowMap depth-optimal mapper")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: c2nn analyze [-all | -circuit name | file.v ...] [-L n] [-json] [-top n] [-clusters]")
+		fmt.Fprintln(fs.Output(), "usage: c2nn analyze [-all | -circuit name | file.v ...] [-L n] [-merge] [-json] [-top n] [-clusters]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -117,7 +117,7 @@ func runAnalyze(args []string) error {
 	var reports []analyzeReport
 	failed := false
 	for _, t := range targets {
-		rep, err := analyzeTarget(t.name, t.nl, *lutSize, !*noMerge, *useFlowmap)
+		rep, err := analyzeTarget(t.name, t.nl, *lutSize, *merge, *useFlowmap)
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.name, err)
 		}

@@ -194,7 +194,7 @@ func faultTarget(circuit, top, tbPath string, lutSize int, useFlowmap bool, file
 	if err != nil {
 		return nil, nil, err
 	}
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: lutSize})
+	model, err := nn.Build(nl, m, nn.BuildOptions{L: lutSize})
 	if err != nil {
 		return nil, nil, err
 	}

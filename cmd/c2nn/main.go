@@ -21,7 +21,9 @@
 //	-top name    top module (default: inferred)
 //	-o path      output model file (default: <top>.c2nn)
 //	-circuit n   compile a built-in benchmark circuit instead of files
-//	-no-merge    disable the depth-halving layer merge (§III-D)
+//	-merge       apply the depth-halving layer merge (§III-D): the paper's
+//	             GPU-shaped form; the default unmerged form runs faster
+//	             on the CPU backends
 //	-flowmap     use the FlowMap depth-optimal mapper
 //	-stats       print netlist / mapping / network statistics
 //	-check       run the irlint IR verifier at every stage boundary
@@ -166,7 +168,7 @@ func main() {
 		top     = flag.String("top", "", "top module name (default: inferred)")
 		out     = flag.String("o", "", "output model path (default: <top>.c2nn)")
 		circuit = flag.String("circuit", "", "compile a built-in benchmark circuit (AES, SHA, SPI, UART, DMA, RISC-V interface)")
-		noMerge = flag.Bool("no-merge", false, "disable layer merging (keeps the explicit hidden/linear alternation)")
+		merge   = flag.Bool("merge", false, "apply the §III-D layer merge (the paper's GPU-shaped form; default keeps the hidden/linear alternation)")
 		flowmap = flag.Bool("flowmap", false, "use the FlowMap depth-optimal mapper instead of priority cuts")
 		stats   = flag.Bool("stats", false, "print pipeline statistics")
 		check   = flag.Bool("check", false, "run the irlint IR verifier at every stage boundary; fail on error diagnostics")
@@ -174,7 +176,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*lutSize, *top, *out, *circuit, !*noMerge, *flowmap, *stats, *check, *aigOut, flag.Args()); err != nil {
+	if err := run(*lutSize, *top, *out, *circuit, *merge, *flowmap, *stats, *check, *aigOut, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "c2nn:", err)
 		os.Exit(1)
 	}
@@ -196,9 +198,10 @@ func runLint(args []string) error {
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		rules   = fs.Bool("rules", false, "list every registered rule and exit")
 		noEquiv = fs.Bool("noequiv", false, "skip the SAT equivalence stage (rules EQ001-EQ008)")
+		merge   = fs.Bool("merge", false, "lint the §III-D merged network instead of the default unmerged one")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: c2nn lint [-all | -circuit name | file.v ...] [-L n] [-json]")
+		fmt.Fprintln(fs.Output(), "usage: c2nn lint [-all | -circuit name | file.v ...] [-L n] [-merge] [-json]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -246,7 +249,7 @@ func runLint(args []string) error {
 		return fmt.Errorf("no input: pass Verilog files, -circuit or -all (see c2nn lint -h)")
 	}
 
-	opts := irlint.Options{L: *lutSize, FlowMap: *flowmap, NoEquiv: *noEquiv}
+	opts := irlint.Options{L: *lutSize, FlowMap: *flowmap, Merge: *merge, NoEquiv: *noEquiv}
 	type result struct {
 		Circuit string          `json:"circuit"`
 		Report  json.RawMessage `json:"report"`

@@ -44,9 +44,10 @@ func main() {
 	fmt.Printf("mapping: %d LUTs, depth %d (L=%d)\n",
 		len(mapping.Graph.LUTs), mapping.Graph.Depth(), L)
 
-	// 3. Convert each LUT's polynomial into threshold neurons and merge
-	//    layers (paper Fig. 2 + Fig. 5).
-	model, err := nn.Build(netl, mapping, nn.BuildOptions{Merge: true, L: L})
+	// 3. Convert each LUT's polynomial into threshold neurons (paper
+	//    Fig. 2). Merge: true would also fold the linear layers into
+	//    their readers (Fig. 5), which pays on GPUs but not on CPUs.
+	model, err := nn.Build(netl, mapping, nn.BuildOptions{L: L})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package c2nn
 
-// Acceptance test of the fault subsystem: grading the shipped smoke
+// Acceptance tests of the fault subsystem: grading the shipped smoke
 // testbenches must report the exact same detected-fault sets on all
-// three execution backends — fault detection is a bit-level diff
-// against the golden lane, so any backend divergence shows up as a
-// detection difference here.
+// three execution backends and on both network forms — fault detection
+// is a bit-level diff against the golden lane, so any backend or form
+// divergence shows up as a detection difference here.
 
 import (
 	"os"
@@ -16,6 +16,7 @@ import (
 	"c2nn/internal/circuits"
 	"c2nn/internal/fault"
 	"c2nn/internal/lutmap"
+	"c2nn/internal/netlist"
 	"c2nn/internal/nn"
 	"c2nn/internal/testbench"
 )
@@ -29,27 +30,7 @@ func TestFaultDetectionBackendIdentical(t *testing.T) {
 	}
 	for _, tb := range tbs {
 		t.Run(tb, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join("testbenches", tb))
-			if err != nil {
-				t.Fatal(err)
-			}
-			script, err := testbench.Parse(string(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := strings.ToUpper(strings.SplitN(tb, "_", 2)[0])
-			c, err := circuits.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nl, err := c.Elaborate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := lutmap.MapNetlist(nl, lutmap.Options{K: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			script, nl, m := smokeFaultSetup(t, tb)
 			model, err := nn.Build(nl, m, nn.BuildOptions{Merge: true, L: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -106,6 +87,85 @@ func TestFaultDetectionBackendIdentical(t *testing.T) {
 					if !reflect.DeepEqual(ref.UndetectedFaults, rep.UndetectedFaults) {
 						t.Errorf("%v activity=%v undetected set differs from %v", prec, activity, backendPrecisions[0])
 					}
+				}
+			}
+		})
+	}
+}
+
+// smokeFaultSetup parses a shipped smoke testbench and elaborates and
+// maps (L=4) the circuit its file name selects.
+func smokeFaultSetup(t *testing.T, tb string) (*testbench.Script, *netlist.Netlist, *lutmap.Mapping) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testbenches", tb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := testbench.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.ToUpper(strings.SplitN(tb, "_", 2)[0])
+	c, err := circuits.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := c.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := lutmap.MapNetlist(nl, lutmap.Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return script, nl, m
+}
+
+// TestFaultDetectionFormIdentical grades the whole collapsed fault
+// universe of each smoke circuit on the merged and the unmerged network
+// built from one LUT mapping. Faults are injected at LUT term neurons,
+// which both forms keep, so the detected set depends only on the
+// mapping and the stimuli, never on the form.
+func TestFaultDetectionFormIdentical(t *testing.T) {
+	tbs := []string{"uart_smoke.tb", "spi_smoke.tb", "dma_smoke.tb"}
+	if testing.Short() {
+		tbs = tbs[:1]
+	}
+	for _, tb := range tbs {
+		t.Run(tb, func(t *testing.T) {
+			script, nl, m := smokeFaultSetup(t, tb)
+			var ref *fault.Report
+			for _, f := range networkForms {
+				model, err := nn.Build(nl, m, nn.BuildOptions{Merge: f.merge, L: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				u := fault.Enumerate(m.Graph, len(model.Feedback))
+				rep, err := fault.Grade(model, m.Graph, u, script, fault.Config{
+					Precision:    BitPacked,
+					RandomCycles: 16,
+					Seed:         5,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", f.name, err)
+				}
+				t.Logf("%s: detected %d of %d simulated classes", f.name, rep.Detected, rep.Simulated)
+				if rep.Detected == 0 {
+					t.Errorf("%s: smoke testbench detected nothing", f.name)
+				}
+				if ref == nil {
+					ref = rep
+					continue
+				}
+				if rep.Simulated != ref.Simulated {
+					t.Errorf("%s simulated %d classes, %s %d", f.name, rep.Simulated, networkForms[0].name, ref.Simulated)
+				}
+				if !reflect.DeepEqual(ref.DetectedFaults, rep.DetectedFaults) {
+					t.Errorf("%s detected %d faults, %s %d: sets differ",
+						f.name, rep.Detected, networkForms[0].name, ref.Detected)
+				}
+				if !reflect.DeepEqual(ref.UndetectedFaults, rep.UndetectedFaults) {
+					t.Errorf("%s undetected set differs from %s", f.name, networkForms[0].name)
 				}
 			}
 		})

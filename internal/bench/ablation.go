@@ -36,7 +36,8 @@ func DefaultAblationConfig() AblationConfig {
 
 // RunAblations measures the design choices DESIGN.md calls out:
 //
-//   - layer merging (Fig. 5) on vs off: layer count and throughput;
+//   - layer merging (Fig. 5) on vs off: layer count and float32 and
+//     bit-packed throughput;
 //   - float32 vs int32 kernels (§V future work);
 //   - sparse CSR vs dense matmul for the largest layer (§III-F);
 //   - priority-cut vs FlowMap mapping: depth and LUT count;
@@ -92,6 +93,16 @@ func RunAblations(cfg AblationConfig, progress io.Writer) ([]AblationRow, error)
 		len(merged.Model.Net.Layers), len(unmergedModel.Net.Layers))
 	add("throughput merged vs unmerged (g*c/s)", "%.3g vs %.3g (x%.2f)",
 		mGCS, uGCS, mGCS/uGCS)
+	bpGCS, err := NNThroughput(merged, stim, cfg.Batch, 0, simengine.BitPacked, cfg.MinMeasure)
+	if err != nil {
+		return nil, err
+	}
+	uBPGCS, err := NNThroughput(unmerged, stim, cfg.Batch, 0, simengine.BitPacked, cfg.MinMeasure)
+	if err != nil {
+		return nil, err
+	}
+	add("bitpacked merged vs unmerged (g*c/s)", "%.3g vs %.3g (x%.2f)",
+		bpGCS, uBPGCS, bpGCS/uBPGCS)
 
 	// --- Float32 vs Int32 vs BitPacked kernels (§V) --------------------
 	iGCS, err := NNThroughput(merged, stim, cfg.Batch, 0, simengine.Int32, cfg.MinMeasure)
@@ -100,10 +111,6 @@ func RunAblations(cfg AblationConfig, progress io.Writer) ([]AblationRow, error)
 	}
 	add("throughput float32 vs int32 (g*c/s)", "%.3g vs %.3g (int is x%.2f)",
 		mGCS, iGCS, iGCS/mGCS)
-	bpGCS, err := NNThroughput(merged, stim, cfg.Batch, 0, simengine.BitPacked, cfg.MinMeasure)
-	if err != nil {
-		return nil, err
-	}
 	add("throughput float32 vs bitpacked (g*c/s)", "%.3g vs %.3g (packed is x%.2f)",
 		mGCS, bpGCS, bpGCS/mGCS)
 
@@ -182,6 +189,71 @@ func FormatAblations(rows []AblationRow) string {
 	var b strings.Builder
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-44s %s\n", r.Name, r.Value)
+	}
+	return b.String()
+}
+
+// FormRow is one circuit at one LUT size in both network forms. Index 0
+// of each pair is the unmerged §III-C hidden/linear alternation (the
+// facade default), index 1 the §III-D merged form.
+type FormRow struct {
+	Circuit     string
+	L           int
+	Layers      [2]int
+	Connections [2]int
+	// CycleUS is the bit-packed time per simulated cycle (inputs set
+	// plus Step) at one worker.
+	CycleUS [2]float64
+}
+
+// RunForms compiles each named circuit (nil = all benchmark circuits)
+// at each LUT size in both network forms and times a bit-packed cycle
+// of each at one worker, on one random stimulus stream per circuit.
+func RunForms(names []string, ls []int, batch int, minMeasure time.Duration, progress io.Writer) ([]FormRow, error) {
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
+	}
+	var rows []FormRow
+	for _, c := range list {
+		for _, l := range ls {
+			row := FormRow{Circuit: c.Name, L: l}
+			var stim *StimulusSet
+			for i, merge := range []bool{false, true} {
+				res, err := Compile(c, l, merge)
+				if err != nil {
+					return nil, err
+				}
+				if stim == nil {
+					stim = NewStimulusSet(res.Netlist, 64, batch, 1)
+				}
+				gcs, err := NNThroughput(res, stim, batch, 1, simengine.BitPacked, minMeasure)
+				if err != nil {
+					return nil, fmt.Errorf("%s L=%d merge=%v: %w", c.Name, l, merge, err)
+				}
+				row.Layers[i] = len(res.Model.Net.Layers)
+				row.Connections[i] = res.Model.Net.ComputeStats().Connections
+				row.CycleUS[i] = float64(res.Model.GateCount) * float64(batch) / gcs * 1e6
+			}
+			if progress != nil {
+				fmt.Fprintf(progress, "[forms] %s L=%d unmerged %.1f us, merged %.1f us\n",
+					c.Name, l, row.CycleUS[0], row.CycleUS[1])
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// FormatForms renders form rows as a Markdown table.
+func FormatForms(rows []FormRow) string {
+	var b strings.Builder
+	b.WriteString("| Circuit | L | Layers unmerged / merged | Connections unmerged / merged | Cycle µs unmerged / merged | Merged ÷ unmerged time |\n")
+	b.WriteString("|---|---|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %s | %d | %d / %d | %d / %d | %.1f / %.1f | ×%.2f |\n",
+			r.Circuit, r.L, r.Layers[0], r.Layers[1], r.Connections[0], r.Connections[1],
+			r.CycleUS[0], r.CycleUS[1], r.CycleUS[1]/r.CycleUS[0])
 	}
 	return b.String()
 }

@@ -93,17 +93,9 @@ func RunAnalyze(names []string, cfg AnalyzeConfig, progress io.Writer) ([]Analyz
 			fmt.Fprintf(progress, format+"\n", args...)
 		}
 	}
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
 	}
 
 	var rows []AnalyzeRow

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"c2nn/internal/circuits"
 	"c2nn/internal/exec/plan"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
@@ -61,17 +60,9 @@ func RunBackends(names []string, cfg BackendsConfig, progress io.Writer) ([]Back
 			fmt.Fprintf(progress, format+"\n", args...)
 		}
 	}
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
 	}
 
 	var rows []BackendRow

@@ -33,6 +33,23 @@ type CompileResult struct {
 	SynthGen time.Duration // frontend share of GenTime (parse+elaborate)
 }
 
+// circuitList resolves benchmark circuit names; nil selects every
+// benchmark circuit.
+func circuitList(names []string) ([]circuits.Circuit, error) {
+	if names == nil {
+		return circuits.All(), nil
+	}
+	list := make([]circuits.Circuit, 0, len(names))
+	for _, n := range names {
+		c, err := circuits.ByName(n)
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, c)
+	}
+	return list, nil
+}
+
 // Compile runs the full pipeline (Fig. 1) on one circuit at one LUT
 // size. The reported generation time covers everything from Verilog
 // source to the stored-model-ready network, matching the "Generation

@@ -181,6 +181,28 @@ func TestAblationsSmall(t *testing.T) {
 	}
 }
 
+func TestRunFormsSmall(t *testing.T) {
+	rows, err := RunForms([]string{"UART"}, []int{4}, 64, 5*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	r := rows[0]
+	// §III-D: the merge trades depth for connections.
+	if r.Layers[1] >= r.Layers[0] || r.Connections[1] <= r.Connections[0] {
+		t.Errorf("merged %d layers / %d connections vs unmerged %d / %d",
+			r.Layers[1], r.Connections[1], r.Layers[0], r.Connections[0])
+	}
+	if r.CycleUS[0] <= 0 || r.CycleUS[1] <= 0 {
+		t.Errorf("cycle times %v", r.CycleUS)
+	}
+	if out := FormatForms(rows); !strings.Contains(out, "| UART | 4 |") {
+		t.Errorf("bad format:\n%s", out)
+	}
+}
+
 func TestRunInfluence(t *testing.T) {
 	rows, err := RunInfluence([]string{"UART", "SPI"}, 5, nil)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"c2nn/internal/circuits"
 	"c2nn/internal/equiv"
 	"c2nn/internal/obs"
 )
@@ -61,17 +60,9 @@ func RunEquiv(names []string, cfg EquivConfig, progress io.Writer) ([]EquivRow, 
 			fmt.Fprintf(progress, format+"\n", args...)
 		}
 	}
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
 	}
 	var rows []EquivRow
 	for _, c := range list {

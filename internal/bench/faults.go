@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 
-	"c2nn/internal/circuits"
 	"c2nn/internal/fault"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
@@ -57,17 +56,9 @@ func RunFaults(names []string, cfg FaultsConfig, progress io.Writer) ([]FaultRow
 			fmt.Fprintf(progress, format+"\n", args...)
 		}
 	}
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
 	}
 
 	var rows []FaultRow

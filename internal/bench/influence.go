@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"c2nn/internal/circuits"
 	"c2nn/internal/lutmap"
 	"c2nn/internal/poly"
 )
@@ -30,17 +29,9 @@ type InfluenceRow struct {
 // RunInfluence maps each circuit at the given L and computes the
 // sensitivity/density statistics.
 func RunInfluence(names []string, l int, progress io.Writer) ([]InfluenceRow, error) {
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
 	}
 	var rows []InfluenceRow
 	for _, c := range list {

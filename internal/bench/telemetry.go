@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"c2nn/internal/circuits"
 	"c2nn/internal/obs"
 	"c2nn/internal/simengine"
 )
@@ -100,17 +99,9 @@ func RunTelemetry(names []string, cfg TelemetryConfig, progress io.Writer) ([]Te
 			fmt.Fprintf(progress, format+"\n", args...)
 		}
 	}
-	var list []circuits.Circuit
-	if names == nil {
-		list = circuits.All()
-	} else {
-		for _, n := range names {
-			c, err := circuits.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, c)
-		}
+	list, err := circuitList(names)
+	if err != nil {
+		return nil, err
 	}
 
 	var rows []TelemetryRow

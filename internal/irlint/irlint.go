@@ -171,7 +171,7 @@ func Equiv(nl *netlist.Netlist, g *aig.AIG, outs []aig.Lit, m *lutmap.Mapping, m
 }
 
 // Options configures the pipeline check. The zero value means L = 7,
-// priority-cuts mapping, layer merging on.
+// priority-cuts mapping, unmerged network.
 type Options struct {
 	// L is the LUT size hyperparameter.
 	L int
@@ -180,8 +180,8 @@ type Options struct {
 	// CoalesceWide, when > 0, runs wide AND/OR coalescing after
 	// mapping, as in the main compile path.
 	CoalesceWide int
-	// NoMerge disables the depth-halving layer merge.
-	NoMerge bool
+	// Merge applies the depth-halving layer merge of §III-D.
+	Merge bool
 	// NoEquiv disables the SAT equivalence stage (rules EQ001–EQ008),
 	// leaving only the per-stage structural lints.
 	NoEquiv bool
@@ -242,7 +242,7 @@ func Check(nl *netlist.Netlist, opts Options) (*nn.Model, *diag.Report, error) {
 		return nil, report, nil
 	}
 
-	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: !opts.NoMerge, L: opts.L})
+	model, err := nn.Build(nl, m, nn.BuildOptions{Merge: opts.Merge, L: opts.L})
 	if err != nil {
 		return nil, report, fmt.Errorf("irlint: building network: %w", err)
 	}

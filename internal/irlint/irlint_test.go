@@ -46,8 +46,8 @@ func render(ds []diag.Diagnostic) string {
 // TestCleanPipeline is the acceptance gate: every built-in Table I
 // circuit lints to zero errors and zero warnings (infos are allowed —
 // NL008 reports the unified clk input, which legitimately has no
-// combinational fanout) at both LUT sizes, and the pipeline check
-// produces a model.
+// combinational fanout) at both LUT sizes and in both network forms,
+// and the pipeline check produces a model.
 func TestCleanPipeline(t *testing.T) {
 	for _, c := range circuits.All() {
 		for _, L := range []int{4, 7} {
@@ -58,17 +58,26 @@ func TestCleanPipeline(t *testing.T) {
 				// race detector; the plain build and the CI equivalence
 				// job keep it covered.
 				skipEquiv := testing.Short() || raceflag.Enabled
-				model, report, err := irlint.CheckSources(c.Generate(), nil, c.Top, irlint.Options{L: L, NoEquiv: skipEquiv})
-				if err != nil {
-					t.Fatalf("CheckSources: %v", err)
-				}
-				cts := report.Counts()
-				if cts.Errors != 0 || cts.Warnings != 0 {
-					t.Fatalf("want clean pipeline, got %d errors, %d warnings:\n%s",
-						cts.Errors, cts.Warnings, report)
-				}
-				if model == nil {
-					t.Fatal("clean report but nil model")
+				for _, merge := range []bool{false, true} {
+					name := "unmerged"
+					if merge {
+						name = "merged"
+					}
+					t.Run(name, func(t *testing.T) {
+						model, report, err := irlint.CheckSources(c.Generate(), nil, c.Top,
+							irlint.Options{L: L, Merge: merge, NoEquiv: skipEquiv})
+						if err != nil {
+							t.Fatalf("CheckSources: %v", err)
+						}
+						cts := report.Counts()
+						if cts.Errors != 0 || cts.Warnings != 0 {
+							t.Fatalf("want clean pipeline, got %d errors, %d warnings:\n%s",
+								cts.Errors, cts.Warnings, report)
+						}
+						if model == nil {
+							t.Fatal("clean report but nil model")
+						}
+					})
 				}
 			})
 		}

@@ -16,7 +16,7 @@ import (
 type BuildOptions struct {
 	// Merge enables the depth-halving layer fusion of §III-D (Fig. 5).
 	// Disabled it keeps the explicit hidden/linear alternation, which
-	// the merged-vs-unmerged ablation benchmark measures.
+	// has fewer connections and is the engine's default form.
 	Merge bool
 	// L records the LUT size used during mapping (Table I column).
 	L int

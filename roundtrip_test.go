@@ -81,11 +81,7 @@ func TestWriterRoundTripBenchmarks(t *testing.T) {
 		t.Skip("benchmark round trips")
 	}
 	for _, name := range []string{"UART", "SPI", "DMA"} {
-		model, err := CompileBenchmark(name, Options{L: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = model
+		compileForms(t, name, 3)
 		c := mustCircuit(t, name)
 		nl, err := c.Elaborate()
 		if err != nil {

@@ -1,7 +1,7 @@
 package c2nn
 
 // The shipped testbench scripts under testbenches/ must keep passing
-// against their circuits.
+// against their circuits, in both network forms.
 
 import (
 	"os"
@@ -42,21 +42,19 @@ func TestShippedTestbenches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			model, err := CompileBenchmark(circuit, Options{L: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := NewEngine(model, EngineOptions{Batch: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := script.Run(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Checks == 0 {
-				t.Error("testbench made no checks")
-			}
+			eachForm(t, compileForms(t, circuit, 4), func(t *testing.T, model *Model) {
+				eng, err := NewEngine(model, EngineOptions{Batch: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := script.Run(eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Checks == 0 {
+					t.Error("testbench made no checks")
+				}
+			})
 		})
 	}
 	if seen != len(cases) {
